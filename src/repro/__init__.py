@@ -10,8 +10,7 @@ across basic blocks with a bimodal predictor.
 Stable API (the :mod:`repro.api` facade)
 ----------------------------------------
 - :class:`repro.SystemSpec` — the one canonical, JSON-round-trippable
-  system description every entry point builds configurations from
-  (``repro.build_config`` remains as a deprecated shim).
+  system description every entry point builds configurations from.
 - :func:`repro.run` — run one target plain and accelerated, bit-exact.
 - :func:`repro.evaluate` — the Table 2 suite against one system.
 - :func:`repro.sweep` — a workloads x configurations matrix through the
@@ -46,7 +45,6 @@ from repro.api import (
     RunComparison,
     SystemSpec,
     Target,
-    build_config,
     connect,
     corpus,
     evaluate,
@@ -72,7 +70,6 @@ __all__ = [
     "RunComparison",
     "SystemSpec",
     "Target",
-    "build_config",
     "connect",
     "corpus",
     "evaluate",

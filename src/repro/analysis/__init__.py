@@ -7,18 +7,10 @@ from repro.analysis.blocks import (
 )
 from repro.analysis.coverage import blocks_for_coverage, coverage_curve
 from repro.analysis.report import format_table
-from repro.analysis.shape_search import (
-    ShapeCandidate,
-    default_grid,
-    pareto_front,
-    search_shapes,
-)
+from repro.analysis.shape_search import default_grid
 
 __all__ = [
-    "ShapeCandidate",
     "default_grid",
-    "pareto_front",
-    "search_shapes",
     "block_profile",
     "instructions_per_branch",
     "BlockProfile",

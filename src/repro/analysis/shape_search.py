@@ -1,49 +1,17 @@
-"""Array shape-space search — the paper's future work #1.
+"""The coarse array-shape grid — the paper's future work #1.
 
 "Currently, we are working on finding the ideal shape for the
-reconfigurable array."  Historically this module did that search with a
-private exhaustive grid loop; it is now a thin back-compat wrapper over
-the design-space exploration subsystem (:mod:`repro.dse`), which adds
-budget-bounded strategies (random, successive halving, hill climbing),
-multi-objective Pareto frontiers with energy as a first-class axis, and
-execution through the trace-once / replay-many engine or a running
-``repro serve`` instance.
-
-.. deprecated::
-    Prefer :func:`repro.dse.explore` (or the ``repro explore`` CLI) for
-    new code.  :func:`search_shapes` remains supported and returns
-    bit-identical results to its historical implementation — the
-    differential test in ``tests/test_dse.py`` holds it to that.
+reconfigurable array."  The search itself lives in the design-space
+exploration subsystem (:mod:`repro.dse`, or the ``repro explore`` CLI);
+this module keeps the grid of shapes around Table 1's designs that
+shape-only explorations start from.
 """
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import List
 
 from repro.cgra.shape import ArrayShape, default_immediate_slots
-from repro.dim.params import DimParams
-from repro.sim.stats import TimingModel
-from repro.sim.trace import Trace
-from repro.system.area import AreaParams
-
-
-@dataclass(frozen=True)
-class ShapeCandidate:
-    """One evaluated point of the design space."""
-
-    shape: ArrayShape
-    gates: int
-    geomean_speedup: float
-    #: speedup per million gates — the cost-efficiency metric.
-    efficiency: float
-
-    def describe(self) -> str:
-        s = self.shape
-        return (f"{s.rows}x({s.alus_per_row}a+{s.mults_per_row}m+"
-                f"{s.ldsts_per_row}ls): {self.geomean_speedup:.2f}x, "
-                f"{self.gates:,} gates, {self.efficiency:.2f}x/Mgate")
 
 
 def default_grid() -> List[ArrayShape]:
@@ -57,68 +25,3 @@ def default_grid() -> List[ArrayShape]:
                     ldsts_per_row=ldsts,
                     immediate_slots=default_immediate_slots(rows)))
     return shapes
-
-
-def search_shapes(traces: Dict[str, Trace],
-                  shapes: Optional[Iterable[ArrayShape]] = None,
-                  dim: Optional[DimParams] = None,
-                  timing: Optional[TimingModel] = None,
-                  area_budget_gates: Optional[int] = None,
-                  area_params: AreaParams = AreaParams(),
-                  rank_by: str = "speedup") -> List[ShapeCandidate]:
-    """Evaluate a shape grid against workload traces and rank it.
-
-    ``rank_by`` is 'speedup' or 'efficiency' (speedup per million
-    gates).  Shapes above ``area_budget_gates`` are skipped before any
-    simulation happens, so a tight budget makes the search cheap.
-
-    .. deprecated::
-        This is a compatibility wrapper over :mod:`repro.dse` — an
-        explicit :class:`~repro.dse.space.ParameterSpace` over the
-        shape list, scored by a :class:`~repro.dse.runner.TraceRunner`
-        that reproduces the historical float arithmetic exactly.  New
-        code should call :func:`repro.dse.explore`, which also offers
-        cheaper-than-exhaustive strategies and true Pareto frontiers.
-    """
-    from repro.dse.objectives import resolve_objectives
-    from repro.dse.runner import TraceRunner
-    from repro.dse.space import ParameterSpace
-    from repro.dse.strategies import GridSearch
-
-    if rank_by not in ("speedup", "efficiency"):
-        raise ValueError(f"unknown ranking {rank_by!r}")
-    space = ParameterSpace.for_shapes(
-        list(shapes) if shapes is not None else default_grid(),
-        area_budget_gates=area_budget_gates, area_params=area_params)
-    runner = TraceRunner(space, traces, dim=dim, timing=timing)
-    evaluations = GridSearch().explore(
-        space, resolve_objectives(("speedup",)), runner, None,
-        random.Random(0))
-    candidates = [ShapeCandidate(
-        shape=space.shape_of(evaluation.candidate),
-        gates=evaluation.gates,
-        geomean_speedup=evaluation.geomean_speedup,
-        efficiency=evaluation.geomean_speedup
-        / (evaluation.gates / 1e6))
-        for evaluation in evaluations]
-    key = (lambda c: c.geomean_speedup) if rank_by == "speedup" \
-        else (lambda c: c.efficiency)
-    return sorted(candidates, key=key, reverse=True)
-
-
-def pareto_front(candidates: Sequence[ShapeCandidate]
-                 ) -> List[ShapeCandidate]:
-    """Area/speedup Pareto-optimal candidates, cheapest first.
-
-    A candidate survives if no other one is both cheaper (or equal) and
-    faster.
-    """
-    by_area = sorted(candidates, key=lambda c: (c.gates,
-                                                -c.geomean_speedup))
-    front: List[ShapeCandidate] = []
-    best = 0.0
-    for candidate in by_area:
-        if candidate.geomean_speedup > best:
-            front.append(candidate)
-            best = candidate.geomean_speedup
-    return front

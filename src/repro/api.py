@@ -31,9 +31,6 @@ the advertised entry points:
   connected serve/fleet endpoint (:mod:`repro.traffic`) and report
   latency percentiles, coalescing and shed rates.
 
-:func:`build_config` remains as a deprecated shim over
-``SystemSpec(array=...).build()``.
-
 All verbs accept an optional :class:`repro.obs.Telemetry` sink where
 observation makes sense; telemetry never changes any returned number.
 
@@ -72,22 +69,6 @@ from repro.workloads.suite import SuiteResult, evaluate_suite
 
 #: a target: workload name, ``.s``/``.asm``/``.c`` path, or a Program.
 Target = Union[str, Program]
-
-
-def build_config(array: str = "C3", slots: int = 64,
-                 speculation: bool = False) -> SystemConfig:
-    """Build a system configuration from Table 1's array names.
-
-    .. deprecated:: 1.2
-        A thin back-compat shim over the canonical
-        :class:`repro.system.config.SystemSpec`; new code should write
-        ``SystemSpec(array=array, slots=slots,
-        speculation=speculation).build()``, which also covers arbitrary
-        geometries (the shape form).  Raises :class:`ValueError` naming
-        the valid arrays on an unknown ``array``.
-    """
-    return SystemSpec(array=array, slots=slots,
-                      speculation=speculation).build()
 
 
 def load_target(target: Target) -> Program:
@@ -303,7 +284,6 @@ __all__ = [
     "DimParams",
     "RunComparison",
     "SystemSpec",
-    "build_config",
     "connect",
     "corpus",
     "explore",

@@ -14,9 +14,8 @@ workload-set) so strategies may re-request points for free:
   bit-identical floats (JSON round-trips floats exactly), which is what
   makes the frontier byte-identical across them.
 - :class:`TraceRunner` — evaluates against caller-supplied traces with
-  the exact float-operation sequence the historical
-  ``analysis.shape_search.search_shapes`` used, so its back-compat
-  wrapper reproduces pre-``repro.dse`` outputs to the last bit.
+  a fixed float-operation sequence, so its scores do not depend on
+  which replay engine ran.
 
 Everything either runner observes flows through the ``dse.*`` namespace
 of :mod:`repro.obs` (counters via :class:`DseStats`, events via the
@@ -261,11 +260,8 @@ class MatrixRunner(_RunnerBase):
 class TraceRunner(_RunnerBase):
     """Evaluate candidates against pre-simulated traces.
 
-    This is the engine behind the
-    :func:`repro.analysis.shape_search.search_shapes` back-compat
-    wrapper, so it deliberately replays that function's exact float
-    arithmetic: per-workload speedups multiplied in trace-dict order,
-    then one ``** (1/n)`` — same operations, same order, same bits.
+    The geomean is one fixed float-operation sequence: per-workload
+    speedups multiplied in trace-dict order, then one ``** (1/n)``.
     With numpy present each workload keeps one shared
     :class:`~repro.system.colreplay.ColumnarContext`; otherwise one
     :class:`~repro.dim.memo.TranslationMemo` per workload is shared

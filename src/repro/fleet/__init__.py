@@ -8,8 +8,8 @@ byte-identical-results guarantee:
   fingerprints to worker shards.
 - :mod:`repro.fleet.coordinator` — the sharding front end: worker
   registration/heartbeat, health-based failover with automatic job
-  re-dispatch, result caching, load shedding; protocol-compatible with
-  a single server so existing clients work unchanged.
+  re-dispatch, result caching, load shedding; served by the single
+  server's own HTTP front end, so existing clients work unchanged.
 - :mod:`repro.fleet.client` — the streaming client: bounded in-flight
   windows, shed-aware backoff, bulk completion polling, ordered
   delivery.
@@ -18,11 +18,7 @@ byte-identical-results guarantee:
 """
 
 from repro.fleet.client import FleetClient
-from repro.fleet.coordinator import (
-    FleetCoordinator,
-    FleetStats,
-    start_fleet_http,
-)
+from repro.fleet.coordinator import FleetCoordinator, FleetStats
 from repro.fleet.hashring import HashRing
 from repro.fleet.local import LocalWorker, fleet_forever, spawn_fleet
 
@@ -34,5 +30,4 @@ __all__ = [
     "LocalWorker",
     "fleet_forever",
     "spawn_fleet",
-    "start_fleet_http",
 ]

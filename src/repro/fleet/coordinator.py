@@ -46,7 +46,6 @@ import json
 import threading
 import time
 from dataclasses import dataclass
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, List, Optional
 
 from repro.obs import SCHEMA_VERSION, Telemetry
@@ -56,10 +55,9 @@ from repro.serve.protocol import (
     PROTOCOL_VERSION,
     JobState,
     ProtocolError,
-    dumps,
-    loads,
     validate_submission,
 )
+from repro.serve.server import shutdown_route
 from repro.fleet.hashring import HashRing
 
 #: everything a worker request can raise when the worker is dying:
@@ -143,8 +141,29 @@ class FleetJob:
         return payload
 
 
+def _register(request, fleet: "FleetCoordinator", arg) -> None:
+    body = request.object_body("register")
+    request.reply(fleet.register_worker(body.get("worker_id"),
+                                        body.get("url")))
+
+
 class FleetCoordinator:
     """Shards jobs across worker servers by workload fingerprint."""
+
+    #: the ``/v1`` routes only a coordinator answers, over
+    #: :data:`repro.serve.server.SHARED_ROUTES`: worker membership, and
+    #: a ``shutdown`` whose ``workers`` flag also stops the workers.
+    http_routes = {
+        ("GET", "workers"): (None, lambda request, fleet, arg:
+                             request.reply({
+                                 "workers": fleet.worker_listing(),
+                                 "protocol": PROTOCOL_VERSION})),
+        ("POST", "register"): (None, _register),
+        ("POST", "heartbeat"): (True, lambda request, fleet, worker_id:
+                                request.reply(
+                                    fleet.heartbeat(worker_id))),
+        ("POST", "shutdown"): shutdown_route(workers="shutdown_workers"),
+    }
 
     def __init__(self, max_inflight: int = 1024,
                  heartbeat_interval: float = 0.25,
@@ -672,145 +691,3 @@ class FleetCoordinator:
                 lines.extend(json.dumps(record, sort_keys=True)
                              for record in self.telemetry.events)
         return "\n".join(lines) + "\n"
-
-
-# ----------------------------------------------------------------------
-# HTTP front end.
-# ----------------------------------------------------------------------
-class FleetHTTPServer(ThreadingHTTPServer):
-    """ThreadingHTTPServer wired to one :class:`FleetCoordinator`."""
-
-    daemon_threads = True
-
-    def __init__(self, address, coordinator: FleetCoordinator):
-        super().__init__(address, _Handler)
-        self.coordinator = coordinator
-        #: set by the shutdown route; fleet_forever exits on it.
-        self.shutdown_requested = threading.Event()
-
-
-class _Handler(BaseHTTPRequestHandler):
-    """The coordinator's wire protocol: a strict superset of a single
-    server's (submit/status/result/cancel/jobs/healthz/metrics/events/
-    shutdown behave identically, so :class:`ServeClient` needs no fleet
-    mode), plus ``register``/``heartbeat``/``workers`` for membership.
-    """
-
-    protocol_version = "HTTP/1.1"
-    # replies are one buffered write; Nagle would otherwise delay
-    # them behind the client's delayed ACK on keep-alive sockets.
-    disable_nagle_algorithm = True
-    server: FleetHTTPServer
-
-    def log_message(self, format, *args):  # noqa: A002
-        pass
-
-    def _reply(self, payload: Dict[str, object],
-               status: int = 200) -> None:
-        body = dumps(payload)
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _reply_text(self, text: str, status: int = 200) -> None:
-        body = text.encode()
-        self.send_response(status)
-        self.send_header("Content-Type", "application/x-ndjson")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _body(self) -> object:
-        length = int(self.headers.get("Content-Length") or 0)
-        return loads(self.rfile.read(length) if length else b"")
-
-    def _route(self):
-        parts = [p for p in self.path.split("?")[0].split("/") if p]
-        if parts and parts[0] == "v1":
-            parts = parts[1:]
-        if not parts:
-            raise ProtocolError("not_found", "no route", http_status=404)
-        return parts[0], (parts[1] if len(parts) > 1 else None)
-
-    def _query(self) -> str:
-        return (self.path.split("?") + [""])[1]
-
-    def do_GET(self) -> None:  # noqa: N802
-        fleet = self.server.coordinator
-        try:
-            head, arg = self._route()
-            if head == "healthz":
-                self._reply(fleet.healthz())
-            elif head == "metrics":
-                self._reply(fleet.metrics())
-            elif head == "events":
-                self._reply_text(fleet.events_jsonl())
-            elif head == "workers":
-                self._reply({"workers": fleet.worker_listing(),
-                             "protocol": PROTOCOL_VERSION})
-            elif head == "jobs" and arg is None:
-                active = "active=1" in self._query()
-                self._reply({"jobs": fleet.job_listing(active=active),
-                             "protocol": PROTOCOL_VERSION})
-            elif head == "status" and arg:
-                self._reply(fleet.status(arg))
-            elif head == "result" and arg:
-                wait = "wait=1" in self._query()
-                self._reply(fleet.result(arg, wait=wait))
-            else:
-                raise ProtocolError("not_found",
-                                    f"no route {self.path!r}",
-                                    http_status=404)
-        except ProtocolError as exc:
-            self._reply(exc.as_dict(), status=exc.http_status)
-
-    def do_POST(self) -> None:  # noqa: N802
-        fleet = self.server.coordinator
-        try:
-            head, arg = self._route()
-            if head == "submit":
-                self._reply(fleet.submit(self._body()), status=202)
-            elif head == "cancel" and arg:
-                self._reply(fleet.cancel(arg))
-            elif head == "register":
-                body = self._body()
-                if not isinstance(body, dict):
-                    raise ProtocolError("bad_json", "register body must "
-                                        "be a JSON object")
-                self._reply(fleet.register_worker(
-                    body.get("worker_id"), body.get("url")))
-            elif head == "heartbeat" and arg:
-                self._reply(fleet.heartbeat(arg))
-            elif head == "shutdown":
-                body = self._body() or {}
-                drain = bool(body.get("drain", True)) \
-                    if isinstance(body, dict) else True
-                workers = bool(body.get("workers", False)) \
-                    if isinstance(body, dict) else False
-                summary = fleet.stop(drain=drain,
-                                     shutdown_workers=workers)
-                summary["protocol"] = PROTOCOL_VERSION
-                self._reply(summary)
-                self.server.shutdown_requested.set()
-            else:
-                raise ProtocolError("not_found",
-                                    f"no route {self.path!r}",
-                                    http_status=404)
-        except ProtocolError as exc:
-            self._reply(exc.as_dict(), status=exc.http_status)
-
-
-def start_fleet_http(coordinator: FleetCoordinator,
-                     host: str = "127.0.0.1", port: int = 0):
-    """Start the coordinator's HTTP front end on a background thread.
-
-    Returns ``(server, thread)``; ``server.server_address`` carries the
-    bound port when ``port=0``.
-    """
-    server = FleetHTTPServer((host, port), coordinator)
-    thread = threading.Thread(target=server.serve_forever,
-                              name="repro-fleet-http", daemon=True)
-    thread.start()
-    return server, thread

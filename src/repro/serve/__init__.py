@@ -12,9 +12,9 @@ throw away.  This package keeps them alive behind a long-lived service:
   that pin the persistent artifact cache.
 - :mod:`repro.serve.protocol` — the versioned JSON protocol with
   structured errors.
-- :mod:`repro.serve.server` — :class:`EvalService` plus a stdlib HTTP
-  front end (``submit``/``status``/``result``/``cancel``/``healthz``/
-  ``metrics``).
+- :mod:`repro.serve.server` — :class:`EvalService` plus the stdlib
+  ``/v1`` HTTP front end (``submit``/``status``/``result``/``cancel``/
+  ``healthz``/``metrics``) that the fleet coordinator shares.
 - :mod:`repro.serve.client` — the blocking :class:`ServeClient`.
 
 Service results are byte-identical to the offline :mod:`repro.api`

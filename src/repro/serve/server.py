@@ -1,4 +1,4 @@
-"""The long-lived evaluation service and its stdlib HTTP front end.
+"""The long-lived evaluation service and the stdlib ``/v1`` HTTP front end.
 
 :class:`EvalService` owns the event loop (run on a dedicated daemon
 thread), the :class:`~repro.serve.queue.JobManager`, the
@@ -9,7 +9,11 @@ handlers (and tests) call from any thread.
 :class:`ServeHTTPServer` is a plain
 :class:`http.server.ThreadingHTTPServer` — no third-party dependency —
 that maps the versioned JSON protocol (:mod:`repro.serve.protocol`)
-onto the service.  :func:`serve_forever` is the CLI entry point.
+onto one backend: an :class:`EvalService`, or a
+:class:`~repro.fleet.coordinator.FleetCoordinator` fronting many of
+them.  Both answer the :data:`SHARED_ROUTES` under the same method
+names and add their own routes through ``http_routes``.
+:func:`serve_forever` is the CLI entry point.
 """
 
 from __future__ import annotations
@@ -19,7 +23,8 @@ import json
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
+from urllib.parse import parse_qs
 
 from repro.obs import SCHEMA_VERSION, Telemetry
 from repro.obs.schema import serve_counters, serve_timers
@@ -40,6 +45,15 @@ _BRIDGE_TIMEOUT = 60.0
 
 class EvalService:
     """Queue + scheduler + telemetry behind a thread-safe facade."""
+
+    #: the ``/v1`` routes only a single server answers (see
+    #: :data:`SHARED_ROUTES`).
+    http_routes = {
+        ("POST", "pause"): (None, lambda request, service, arg:
+                            request.reply(service.pause())),
+        ("POST", "resume"): (None, lambda request, service, arg:
+                             request.reply(service.resume())),
+    }
 
     def __init__(self, workers: int = 0,
                  cache_root: Optional[Path] = None,
@@ -169,12 +183,15 @@ class EvalService:
     async def _status(self, job_id: str) -> Dict[str, object]:
         return self.manager.job(job_id).status()
 
-    def jobs(self) -> List[Dict[str, object]]:
-        return self._call(self._jobs())
+    def job_listing(self, active: bool = False
+                    ) -> List[Dict[str, object]]:
+        """Every job's status in id order; ``active`` keeps only the
+        unfinished ones."""
+        return self._call(self._job_listing(active))
 
-    async def _jobs(self) -> List[Dict[str, object]]:
-        return [job.status() for _, job in
-                sorted(self.manager.jobs.items())]
+    async def _job_listing(self, active: bool) -> List[Dict[str, object]]:
+        return [job.status() for _, job in sorted(self.manager.jobs.items())
+                if not (active and job.state in JobState.TERMINAL)]
 
     def result(self, job_id: str, wait: bool = False,
                timeout: float = _BRIDGE_TIMEOUT) -> Dict[str, object]:
@@ -210,11 +227,14 @@ class EvalService:
         job = await self.manager.cancel(job_id)
         return job.status()
 
-    def pause(self) -> None:
+    def pause(self) -> Dict[str, object]:
+        """Hold the queue (nothing new starts); returns :meth:`healthz`."""
         self._call(self.manager.pause())
+        return self.healthz()
 
-    def resume(self) -> None:
+    def resume(self) -> Dict[str, object]:
         self._call(self.manager.resume())
+        return self.healthz()
 
     def wait_drained(self, timeout: float = _BRIDGE_TIMEOUT) -> None:
         self._call(self.manager.wait_drained(), timeout=timeout)
@@ -278,15 +298,80 @@ class EvalService:
 # ----------------------------------------------------------------------
 # HTTP front end.
 # ----------------------------------------------------------------------
+#: a route: how it treats the path segment after its head (``None``
+#: ignores it, ``True`` requires one — a job or worker id — and
+#: ``False`` refuses one), and the function that answers it as
+#: ``fn(request, backend, arg)``, replying through ``request``.
+Route = Tuple[Optional[bool], Callable[["_Handler", object,
+                                        Optional[str]], None]]
+
+
+def _jobs(request: "_Handler", backend, arg: None) -> None:
+    request.reply({"jobs": backend.job_listing(
+                       active=request.flag("active")),
+                   "protocol": PROTOCOL_VERSION})
+
+
+def shutdown_route(**flags: str) -> Route:
+    """The ``shutdown`` route.
+
+    The JSON-object body's ``drain`` (default true) picks a draining
+    ``backend.stop``; ``flags`` maps further boolean body keys (default
+    false) to ``stop`` keyword arguments.  The reply goes out before
+    :func:`serve_until_shutdown` is woken, so the caller always gets it.
+    """
+    def route(request: "_Handler", backend, arg: Optional[str]) -> None:
+        options = request.object_body("shutdown")
+        summary = backend.stop(
+            drain=bool(options.get("drain", True)),
+            **{param: bool(options.get(key, False))
+               for key, param in flags.items()})
+        summary["protocol"] = PROTOCOL_VERSION
+        request.reply(summary)
+        request.server.shutdown_requested.set()
+    return None, route
+
+
+#: the verbs every backend answers, keyed by (HTTP method, route head).
+#: A backend's ``http_routes`` adds to (and may override) this table.
+SHARED_ROUTES: Dict[Tuple[str, str], Route] = {
+    ("GET", "healthz"): (None, lambda request, backend, arg:
+                         request.reply(backend.healthz())),
+    ("GET", "metrics"): (None, lambda request, backend, arg:
+                         request.reply(backend.metrics())),
+    ("GET", "events"): (None, lambda request, backend, arg:
+                        request.reply_text(backend.events_jsonl())),
+    ("GET", "jobs"): (False, _jobs),
+    ("GET", "status"): (True, lambda request, backend, job_id:
+                        request.reply(backend.status(job_id))),
+    ("GET", "result"): (True, lambda request, backend, job_id:
+                        request.reply(backend.result(
+                            job_id, wait=request.flag("wait")))),
+    ("POST", "submit"): (None, lambda request, backend, arg:
+                         request.reply(backend.submit(request.body()),
+                                       status=202)),
+    ("POST", "cancel"): (True, lambda request, backend, job_id:
+                         request.reply(backend.cancel(job_id))),
+    ("POST", "shutdown"): shutdown_route(),
+}
+
+
 class ServeHTTPServer(ThreadingHTTPServer):
-    """ThreadingHTTPServer wired to one :class:`EvalService`."""
+    """ThreadingHTTPServer wired to one backend.
+
+    A backend answers the :data:`SHARED_ROUTES` verbs — ``healthz``,
+    ``metrics``, ``events_jsonl``, ``job_listing(active=)``,
+    ``status``, ``result(wait=)``, ``submit``, ``cancel`` and
+    ``stop(drain=)`` — and carries its own ``http_routes`` table.
+    """
 
     daemon_threads = True
 
-    def __init__(self, address: Tuple[str, int], service: EvalService):
+    def __init__(self, address: Tuple[str, int], backend):
         super().__init__(address, _Handler)
-        self.service = service
-        #: set by the shutdown route; serve_forever exits on it.
+        self.backend = backend
+        self.routes = {**SHARED_ROUTES, **backend.http_routes}
+        #: set by the shutdown route; serve_until_shutdown exits on it.
         self.shutdown_requested = threading.Event()
 
 
@@ -296,120 +381,110 @@ class _Handler(BaseHTTPRequestHandler):
     # them behind the client's delayed ACK on keep-alive sockets.
     disable_nagle_algorithm = True
     server: ServeHTTPServer
+    #: set when the request body's extent is unknown: its bytes cannot
+    #: be skipped, so the reply closes the connection.
+    _close = False
 
     # quiet: the service has telemetry, stderr chatter is noise.
     def log_message(self, format, *args):  # noqa: A002
         pass
 
     # ------------------------------------------------------------------
-    def _reply(self, payload: Dict[str, object],
-               status: int = 200) -> None:
-        body = dumps(payload)
+    def _send(self, body: bytes, content_type: str, status: int) -> None:
         self.send_response(status)
-        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
+        if self._close:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
-    def _reply_text(self, text: str, status: int = 200) -> None:
-        body = text.encode()
-        self.send_response(status)
-        self.send_header("Content-Type", "application/x-ndjson")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+    def reply(self, payload: Dict[str, object], status: int = 200) -> None:
+        self._send(dumps(payload), "application/json", status)
 
-    def _reply_error(self, exc: ProtocolError) -> None:
-        self._reply(exc.as_dict(), status=exc.http_status)
+    def reply_text(self, text: str, status: int = 200) -> None:
+        self._send(text.encode(), "application/x-ndjson", status)
 
-    def _body(self) -> object:
-        length = int(self.headers.get("Content-Length") or 0)
+    def body(self) -> object:
+        """The request's JSON body (``{}`` when it has none)."""
+        try:
+            length = int(self.headers.get("Content-Length") or 0)
+        except ValueError:
+            length = -1
+        if length < 0:
+            self._close = True
+            raise ProtocolError("bad_json", "Content-Length must be a "
+                                            "non-negative integer")
         return loads(self.rfile.read(length) if length else b"")
 
-    def _route(self) -> Tuple[str, Optional[str]]:
-        parts = [p for p in self.path.split("?")[0].split("/") if p]
-        if parts and parts[0] == "v1":
-            parts = parts[1:]
-        if not parts:
-            raise ProtocolError("not_found", "no route", http_status=404)
-        head = parts[0]
-        arg = parts[1] if len(parts) > 1 else None
-        return head, arg
+    def object_body(self, verb: str) -> Dict[str, object]:
+        body = self.body()
+        if not isinstance(body, dict):
+            raise ProtocolError("bad_json", f"{verb} body must be a "
+                                            f"JSON object")
+        return body
+
+    def flag(self, name: str) -> bool:
+        """Whether the query string sets ``name=1``."""
+        query = self.path.partition("?")[2]
+        return "1" in parse_qs(query).get(name, ())
 
     # ------------------------------------------------------------------
     def do_GET(self) -> None:  # noqa: N802
-        service = self.server.service
-        try:
-            head, arg = self._route()
-            if head == "healthz":
-                self._reply(service.healthz())
-            elif head == "metrics":
-                self._reply(service.metrics())
-            elif head == "events":
-                self._reply_text(service.events_jsonl())
-            elif head == "jobs" and arg is None:
-                query = (self.path.split("?") + [""])[1]
-                jobs = service.jobs()
-                if "active=1" in query:
-                    jobs = [job for job in jobs
-                            if job["state"] not in JobState.TERMINAL]
-                self._reply({"jobs": jobs,
-                             "protocol": PROTOCOL_VERSION})
-            elif head == "status" and arg:
-                self._reply(service.status(arg))
-            elif head == "result" and arg:
-                wait = "wait=1" in (self.path.split("?") + [""])[1]
-                self._reply(service.result(arg, wait=wait))
-            else:
-                raise ProtocolError("not_found",
-                                    f"no route {self.path!r}",
-                                    http_status=404)
-        except ProtocolError as exc:
-            self._reply_error(exc)
+        self._dispatch("GET")
 
     def do_POST(self) -> None:  # noqa: N802
-        service = self.server.service
+        self._dispatch("POST")
+
+    def _dispatch(self, method: str) -> None:
         try:
-            head, arg = self._route()
-            if head == "submit":
-                self._reply(service.submit(self._body()), status=202)
-            elif head == "cancel" and arg:
-                self._reply(service.cancel(arg))
-            elif head == "pause":
-                service.pause()
-                self._reply(service.healthz())
-            elif head == "resume":
-                service.resume()
-                self._reply(service.healthz())
-            elif head == "shutdown":
-                body = self._body()
-                drain = (isinstance(body, dict)
-                         and bool(body.get("drain", True))) or body == {}
-                summary = service.stop(drain=bool(drain))
-                summary["protocol"] = PROTOCOL_VERSION
-                self._reply(summary)
-                self.server.shutdown_requested.set()
-            else:
+            parts = [p for p in self.path.split("?")[0].split("/") if p]
+            if parts and parts[0] == "v1":
+                parts = parts[1:]
+            if not parts:
+                raise ProtocolError("not_found", "no route",
+                                    http_status=404)
+            arg = parts[1] if len(parts) > 1 else None
+            takes_arg, route = self.server.routes.get((method, parts[0]),
+                                                      (None, None))
+            if route is None or (takes_arg is not None
+                                 and takes_arg != (arg is not None)):
                 raise ProtocolError("not_found",
                                     f"no route {self.path!r}",
                                     http_status=404)
+            route(self, self.server.backend, arg)
         except ProtocolError as exc:
-            self._reply_error(exc)
+            self.reply(exc.as_dict(), status=exc.http_status)
 
 
-def start_http(service: EvalService, host: str = "127.0.0.1",
+def start_http(backend, host: str = "127.0.0.1",
                port: int = 0) -> Tuple[ServeHTTPServer, threading.Thread]:
-    """Start the HTTP front end on a background thread.
+    """Start the HTTP front end for ``backend`` on a background thread.
 
     Returns the server (``server.server_address`` carries the bound
     port when ``port=0``) and its thread; used by tests, benches and
-    the CLI's foreground loop.
+    the CLI's foreground loops.
     """
-    server = ServeHTTPServer((host, port), service)
+    server = ServeHTTPServer((host, port), backend)
     thread = threading.Thread(target=server.serve_forever,
                               name="repro-serve-http", daemon=True)
     thread.start()
     return server, thread
+
+
+def serve_until_shutdown(server: ServeHTTPServer,
+                         thread: threading.Thread, name: str,
+                         drain: Callable[[], object]) -> None:
+    """The CLI's foreground wait: block until ``POST /v1/shutdown`` has
+    stopped the backend, or until Ctrl-C, which runs ``drain`` instead;
+    then stop the HTTP server and join its thread."""
+    try:
+        server.shutdown_requested.wait()
+    except KeyboardInterrupt:
+        print(f"\nrepro {name}: draining ...")
+        drain()
+    server.shutdown()
+    thread.join(5.0)
 
 
 def serve_forever(host: str = "127.0.0.1", port: int = 8350,
@@ -421,11 +496,5 @@ def serve_forever(host: str = "127.0.0.1", port: int = 8350,
     print(f"repro serve: listening on http://{bound_host}:{bound_port} "
           f"(workers={service.scheduler.workers}, "
           f"cache={service.cache_root or 'disabled'})")
-    try:
-        server.shutdown_requested.wait()
-    except KeyboardInterrupt:
-        print("\nrepro serve: draining ...")
-        service.stop(drain=True)
-    server.shutdown()
-    thread.join(5.0)
+    serve_until_shutdown(server, thread, "serve", service.stop)
     return 0

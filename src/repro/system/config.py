@@ -1,16 +1,11 @@
 """The paper's system configurations (Table 1) and the canonical
 :class:`SystemSpec` every entry point builds them from.
 
-Historically a system configuration was constructed two parallel ways:
-``repro.api.build_config`` took Table 1 array names, while the serve
-protocol's ``config_from_spec`` took shape-form wire dicts for DSE
-dispatch.  :class:`SystemSpec` unifies both: one frozen,
-JSON-round-trippable value that names either a paper array or an
-arbitrary geometry (plus DIM policy overrides) and builds exactly the
-:class:`SystemConfig` — same canonical name, same bits — the two old
-paths produced.  The CLI, the serve protocol, the DSE runners and the
-MPSoC scenario layer all route through it; ``build_config`` and
-``config_from_spec`` remain as thin deprecated shims.
+A :class:`SystemSpec` is one frozen, JSON-round-trippable value that
+names either a paper array or an arbitrary geometry (plus DIM policy
+overrides) and builds its :class:`SystemConfig`.  The CLI, the serve
+protocol, the DSE runners and the MPSoC scenario layer all build their
+configurations through it.
 """
 
 from __future__ import annotations

@@ -2,7 +2,7 @@
 
 Every system-taking subcommand parses through one shared option parent
 and builds configurations through the single
-:func:`repro.api.build_config` path — this file sweeps the flag matrix
+:class:`repro.SystemSpec` path — this file sweeps the flag matrix
 (subcommand x array x slots x spec) at the parser level, without
 running any simulation.
 """
@@ -124,8 +124,6 @@ def test_paper_system_raises_value_error_with_names():
     with pytest.raises(ValueError,
                        match="valid array names are C1, C2, C3, ideal"):
         paper_system("Z1")
-    with pytest.raises(ValueError):
-        repro.build_config("Z1")
 
 
 def test_multi_config_selection_rejected_by_single_commands():
@@ -145,22 +143,15 @@ def test_bad_slots_rejected():
 # The repro.api facade.
 # ----------------------------------------------------------------------
 def test_facade_reexported_from_top_level():
-    assert repro.build_config is repro.api.build_config
     assert repro.run is repro.api.run
     assert repro.evaluate is repro.api.evaluate
     assert repro.sweep is repro.api.sweep
     assert repro.load_target is repro.api.load_target
     assert repro.Telemetry is not None
     assert repro.NULL_TELEMETRY.enabled is False
-    for name in ("build_config", "run", "evaluate", "sweep",
+    for name in ("run", "evaluate", "sweep",
                  "Telemetry", "NullTelemetry"):
         assert name in repro.__all__
-
-
-def test_build_config_matches_paper_system():
-    assert repro.build_config("C2", 16, True) == \
-        paper_system("C2", 16, True)
-    assert repro.build_config() == paper_system()
 
 
 def test_load_target_raises_value_error_not_exit():

@@ -11,9 +11,9 @@ Four families of guarantees:
    whether batches evaluate serially, with ``--jobs``, or dispatched to
    a running ``repro serve`` instance — and a seeded smoke exploration
    matches the committed golden frontier byte for byte.
-4. Back-compat: :func:`repro.analysis.search_shapes` reproduces its
-   historical (pre-``repro.dse``) float arithmetic bit for bit, and the
-   ``dse.*`` telemetry namespace stays closed and collector-mapped.
+4. Arithmetic and telemetry: :class:`TraceRunner` scores match a
+   direct per-cell event-engine replay bit for bit, and the ``dse.*``
+   telemetry namespace stays closed and collector-mapped.
 """
 
 import itertools
@@ -23,7 +23,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import search_shapes
 from repro.analysis.shape_search import default_grid
 from repro.cgra.shape import ArrayShape, default_immediate_slots
 from repro.dim.memo import TranslationMemo
@@ -55,7 +54,7 @@ from repro.serve import (
     start_http,
     validate_submission,
 )
-from repro.serve.protocol import config_from_spec
+from repro.serve.protocol import system_spec
 from repro.sim.cpu import run_program
 from repro.sim.stats import TimingModel
 from repro.system.area import AreaParams, area_report
@@ -257,22 +256,13 @@ def test_shalving_promotes_only_full_evaluations(traces):
     assert runner.stats.cells == 4 * 1 + 1 * len(traces)
 
 
-def test_grid_exploration_matches_legacy_pareto(traces):
-    space = _shape_space()
-    result = explore(space=space, strategy="grid",
-                     runner=TraceRunner(space, traces))
-    ranked = search_shapes(traces, shapes=default_grid()[:8])
-    best = result.best("speedup")
-    assert best.geomean_speedup == ranked[0].geomean_speedup
-    assert space.shape_of(best.candidate) == ranked[0].shape
-
-
 # ----------------------------------------------------------------------
-# search_shapes back-compat: bit-identical to the historical loop.
+# TraceRunner arithmetic: bit-identical to a direct per-cell replay.
 # ----------------------------------------------------------------------
-def _legacy_search_shapes(traces, shapes, area_budget_gates=None,
-                          rank_by="speedup"):
-    """The pre-``repro.dse`` implementation, replicated verbatim."""
+def _direct_scores(traces, shapes, area_budget_gates=None):
+    """(shape, gates, geomean speedup) of every shape within budget,
+    replayed cell by cell on the event engine with one memo per
+    workload."""
     dim = DimParams(cache_slots=64, speculation=True)
     timing = TimingModel()
     baselines = {name: baseline_metrics(trace, timing)
@@ -289,27 +279,22 @@ def _legacy_search_shapes(traces, shapes, area_budget_gates=None,
         for name, trace in traces.items():
             metrics = evaluate_trace(trace, config, memo=memos[name])
             product *= baselines[name].cycles / metrics.cycles
-        geomean = product ** (1.0 / len(traces))
-        rows.append((shape, gates, geomean, geomean / (gates / 1e6)))
-    key = (lambda r: r[2]) if rank_by == "speedup" else (lambda r: r[3])
-    return sorted(rows, key=key, reverse=True)
+        rows.append((shape, gates, product ** (1.0 / len(traces))))
+    return rows
 
 
-@pytest.mark.parametrize("rank_by", ["speedup", "efficiency"])
 @pytest.mark.parametrize("budget", [None, 1_000_000])
-def test_search_shapes_is_bit_identical_to_legacy(traces, rank_by,
-                                                  budget):
-    shapes = default_grid()[:8]
-    new = search_shapes(traces, shapes=shapes, rank_by=rank_by,
-                        area_budget_gates=budget)
-    old = _legacy_search_shapes(traces, shapes, rank_by=rank_by,
-                                area_budget_gates=budget)
-    assert len(new) == len(old)
-    for candidate, (shape, gates, geomean, efficiency) in zip(new, old):
-        assert candidate.shape == shape
-        assert candidate.gates == gates
-        assert candidate.geomean_speedup == geomean  # bit-exact
-        assert candidate.efficiency == efficiency
+def test_trace_runner_scores_match_direct_replay(traces, budget):
+    space = _shape_space(budget=budget)
+    runner = TraceRunner(space, traces)
+    direct = _direct_scores(traces, default_grid()[:8],
+                            area_budget_gates=budget)
+    assert [(space.shape_of(e.candidate), e.gates, e.geomean_speedup)
+            for e in runner.evaluate(space.candidates())] == direct
+    best = explore(space=space, strategy="grid",
+                   runner=runner).best("speedup")
+    assert (space.shape_of(best.candidate), best.gates,
+            best.geomean_speedup) == max(direct, key=lambda row: row[2])
 
 
 # ----------------------------------------------------------------------
@@ -328,7 +313,7 @@ def test_wire_spec_round_trips_through_the_protocol():
         request = validate_submission({"kind": "sweep",
                                        "names": ["crc"],
                                        "configs": [spec]})
-        rebuilt = config_from_spec(request.configs[0])
+        rebuilt = system_spec(request.configs[0]).build()
         local = space.config_of(candidate, base_dim=base)
         assert rebuilt.name == local.name
         assert rebuilt.shape == local.shape

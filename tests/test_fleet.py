@@ -5,8 +5,10 @@ Five families of guarantees:
 1. The hash ring: deterministic fingerprint->shard assignment, spread,
    and minimal movement under membership change.
 2. Coordinator routing: jobs shard by fingerprint, the wire protocol
-   stays a superset of a single server's, load beyond ``max_inflight``
-   is shed with the structured ``fleet_saturated`` error.
+   stays a superset of a single server's (one request table gets the
+   same statuses and error codes from both), load beyond
+   ``max_inflight`` is shed with the structured ``fleet_saturated``
+   error.
 3. Failover: a worker killed mid-batch loses nothing — its jobs are
    re-dispatched to surviving shards, results stay byte-identical to
    the offline :mod:`repro.api`, and ``fleet.redispatch`` counts it.
@@ -16,6 +18,7 @@ Five families of guarantees:
    closed :mod:`repro.obs` schema.
 """
 
+import http.client
 import json
 import time
 
@@ -23,7 +26,6 @@ import pytest
 
 from repro import api
 from repro.fleet import FleetClient, FleetCoordinator, HashRing
-from repro.fleet.coordinator import start_fleet_http
 from repro.obs import EVENT_TYPES, validate_jsonl
 from repro.obs.schema import FLEET_COUNTERS, FLEET_TIMERS
 from repro.serve import (
@@ -168,7 +170,7 @@ def test_coordinator_speaks_the_server_protocol():
     """A plain ServeClient works against the coordinator unchanged."""
     svc, server, url = _stub_worker()
     fleet = FleetCoordinator(heartbeat_interval=0.02).start()
-    fserver, _ = start_fleet_http(fleet)
+    fserver, _ = start_http(fleet)
     try:
         fleet.register_worker("w0", url)
         client = ServeClient("http://%s:%s" % fserver.server_address[:2])
@@ -298,6 +300,113 @@ def test_cancel_through_the_coordinator():
         server.shutdown()
 
 
+#: (method, path, body, Content-Length override, expected status, error
+#: code) — every shared route, then the malformed requests; ``{job}`` is
+#: the job the submit row created.
+SHARED_REQUESTS = [
+    ("GET", "/v1/healthz", b"", None, 200, None),
+    ("GET", "/v1/metrics", b"", None, 200, None),
+    ("GET", "/v1/events", b"", None, 200, None),
+    ("POST", "/v1/submit", json.dumps(_spec()).encode(), None, 202, None),
+    ("GET", "/v1/result/{job}?wait=1", b"", None, 200, None),
+    ("GET", "/v1/status/{job}", b"", None, 200, None),
+    ("GET", "/v1/jobs", b"", None, 200, None),
+    ("GET", "/v1/jobs?active=1", b"", None, 200, None),
+    ("GET", "/v1/jobs?inactive=1", b"", None, 200, None),
+    ("POST", "/v1/cancel/{job}", b"", None, 200, None),
+    ("GET", "/v1/status/nope", b"", None, 404, "unknown_job"),
+    ("GET", "/v1/nope", b"", None, 404, "not_found"),
+    ("GET", "/v1/jobs/extra", b"", None, 404, "not_found"),
+    ("POST", "/v1/cancel", b"", None, 404, "not_found"),
+    ("POST", "/v1/submit", b"{not json", None, 400, "bad_json"),
+    ("POST", "/v1/submit", b"", "abc", 400, "bad_json"),
+    ("POST", "/v1/submit", b"", "-1", 400, "bad_json"),
+    ("POST", "/v1/shutdown", b"true", None, 400, "bad_json"),
+    ("GET", "/v1/healthz", b"", None, 200, None),  # still up
+    ("POST", "/v1/shutdown", b'{"drain": true}', None, 200, None),
+]
+
+
+def _exchange(address, method, path, body=b"", length=None):
+    """One request on its own connection: (status, decoded body)."""
+    conn = http.client.HTTPConnection(*address, timeout=30)
+    try:
+        conn.putrequest(method, path)
+        conn.putheader("Content-Length",
+                       str(len(body)) if length is None else length)
+        conn.endheaders(body)
+        response = conn.getresponse()
+        raw = response.read()
+        if response.getheader("Content-Type") != "application/json":
+            return response.status, raw.decode()
+        return response.status, json.loads(raw)
+    finally:
+        conn.close()
+
+
+def _outcome(status, payload):
+    """What must agree across backends: status, error code, and the
+    job count of a listing."""
+    if not isinstance(payload, dict):
+        return status, None, None
+    jobs = payload.get("jobs")
+    return (status, payload.get("error", {}).get("code"),
+            len(jobs) if isinstance(jobs, list) else None)
+
+
+def _drive_shared_requests(address):
+    outcomes, job_id = [], None
+    for method, path, body, length, _, _ in SHARED_REQUESTS:
+        status, payload = _exchange(address, method,
+                                    path.format(job=job_id), body, length)
+        if status == 202:
+            job_id = payload["job_id"]
+        if path == "/v1/shutdown" and status == 200:
+            assert payload["drained"] is True
+        outcomes.append(_outcome(status, payload))
+    return outcomes
+
+
+def test_serve_and_fleet_answer_one_request_table_alike():
+    """The single /v1 front end: an inline service and a one-worker
+    coordinator return the same status and error code for every shared
+    route and every malformed request, and each keeps its own extension
+    routes."""
+    svc, server, url = _stub_worker()
+    worker, wserver, wurl = _stub_worker()
+    fleet = FleetCoordinator(heartbeat_interval=0.02).start()
+    fserver, _ = start_http(fleet)
+    try:
+        fleet.register_worker("w0", wurl)
+        address = server.server_address[:2]
+        faddress = fserver.server_address[:2]
+        assert _exchange(address, "POST", "/v1/pause")[0] == 200
+        assert _exchange(address, "POST", "/v1/resume")[0] == 200
+        assert _outcome(*_exchange(address, "GET", "/v1/workers")) == \
+            (404, "not_found", None)
+        assert _exchange(faddress, "GET", "/v1/workers")[0] == 200
+        assert _exchange(faddress, "POST", "/v1/heartbeat/w0")[0] == 200
+        assert _outcome(*_exchange(faddress, "POST", "/v1/register",
+                                   b"[]")) == (400, "bad_json", None)
+        assert _outcome(*_exchange(faddress, "POST", "/v1/pause")) == \
+            (404, "not_found", None)
+
+        served = _drive_shared_requests(address)
+        fleeted = _drive_shared_requests(faddress)
+        assert served == fleeted
+        assert [(status, code) for status, code, _ in served] == \
+            [(status, code) for *_, status, code in SHARED_REQUESTS]
+        listings = [count for _, _, count in served if count is not None]
+        assert listings == [1, 0, 1]  # all, active=1, inactive=1
+        assert svc._stopped
+    finally:
+        fleet.stop(drain=False)
+        for service, http_server in ((svc, server), (worker, wserver)):
+            service.stop(drain=False)
+            http_server.shutdown()
+        fserver.shutdown()
+
+
 # ----------------------------------------------------------------------
 # 3. Failover: kill a worker mid-batch.
 # ----------------------------------------------------------------------
@@ -376,8 +485,10 @@ def test_worker_killed_mid_batch_redispatches_byte_identically():
             assert status["worker"] == survivor
             assert status["attempts"] >= 2
             payload = fleet.result(job_id)["result"]
-            offline = api.evaluate(api.build_config("C1", slots, False),
-                                   names=["crc"], fast=True)
+            offline = api.evaluate(
+                api.SystemSpec(array="C1", slots=slots,
+                               speculation=False).build(),
+                names=["crc"], fast=True)
             assert payload["suite_json"] == offline.to_json()
 
         assert fleet.stats.workers_lost == 1
@@ -422,7 +533,7 @@ def test_redispatch_cap_fails_jobs_instead_of_looping():
 def test_streaming_window_bounds_inflight_and_orders_results():
     svc, server, url = _stub_worker()
     fleet = FleetCoordinator(heartbeat_interval=0.01).start()
-    fserver, _ = start_fleet_http(fleet)
+    fserver, _ = start_http(fleet)
     try:
         fleet.register_worker("w0", url)
         client = FleetClient("http://%s:%s" % fserver.server_address[:2],
@@ -445,7 +556,7 @@ def test_streaming_client_backs_off_on_shed_and_finishes():
     svc, server, url = _stub_worker()
     fleet = FleetCoordinator(max_inflight=2,
                              heartbeat_interval=0.01).start()
-    fserver, _ = start_fleet_http(fleet)
+    fserver, _ = start_http(fleet)
     try:
         fleet.register_worker("w0", url)
         client = FleetClient("http://%s:%s" % fserver.server_address[:2],
@@ -472,7 +583,7 @@ def test_streaming_on_error_yield_captures_failures():
 
     svc, server, url = _stub_worker(runner=broken, max_retries=0)
     fleet = FleetCoordinator(heartbeat_interval=0.01).start()
-    fserver, _ = start_fleet_http(fleet)
+    fserver, _ = start_http(fleet)
     try:
         fleet.register_worker("w0", url)
         client = FleetClient("http://%s:%s" % fserver.server_address[:2],

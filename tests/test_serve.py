@@ -131,8 +131,9 @@ def test_differential_evaluate_byte_identical(service):
     job = client.submit("evaluate", configs=[CRC_C2], names=["crc"],
                         fast=True)
     payload = client.wait(job["job_id"], timeout=120)
-    offline = api.evaluate(api.build_config("C2", 64, True),
-                           names=["crc"], fast=True)
+    offline = api.evaluate(
+        api.SystemSpec(array="C2", slots=64, speculation=True).build(),
+        names=["crc"], fast=True)
     assert payload["result"]["suite_json"] == offline.to_json()
 
 
@@ -141,9 +142,10 @@ def test_differential_sweep_byte_identical(service):
     job = client.submit("sweep", configs=[CRC_C1, CRC_C2],
                         names=["crc"], fast=True)
     payload = client.wait(job["job_id"], timeout=120)
-    offline = api.sweep([api.build_config("C1", 16, False),
-                         api.build_config("C2", 64, True)],
-                        names=["crc"], fast=True)
+    offline = api.sweep(
+        [api.SystemSpec(array="C1", slots=16, speculation=False).build(),
+         api.SystemSpec(array="C2", slots=64, speculation=True).build()],
+        names=["crc"], fast=True)
     assert payload["result"]["matrix_json"] == offline.results_json()
 
 

@@ -1,77 +1,12 @@
-"""Shape-space search and configuration rendering."""
+"""The shape grid and configuration rendering."""
 
-import pytest
-
-from repro.analysis import pareto_front, search_shapes
-from repro.analysis.shape_search import ShapeCandidate, default_grid
+from repro.analysis.shape_search import default_grid
 from repro.asm import assemble
 from repro.cgra.render import render_configuration
 from repro.cgra.shape import ArrayShape
 from repro.dim import BimodalPredictor, DimParams, Translator
-from repro.minic import compile_to_program
-from repro.sim import Simulator, run_program
+from repro.sim import Simulator
 from repro.system import PAPER_SHAPES
-
-KERNEL = """
-unsigned a[32];
-int main() {
-    int i; int p;
-    unsigned acc = 1;
-    for (p = 0; p < 10; p++) {
-        for (i = 0; i < 32; i++) {
-            acc = acc * 31 + a[i];
-            a[i] = acc >> 3;
-        }
-    }
-    print_int(acc & 0xffff);
-    return 0;
-}
-"""
-
-GRID = [
-    ArrayShape(rows=8, alus_per_row=4, mults_per_row=1, ldsts_per_row=2,
-               immediate_slots=16),
-    ArrayShape(rows=24, alus_per_row=8, mults_per_row=1, ldsts_per_row=2,
-               immediate_slots=48),
-    ArrayShape(rows=48, alus_per_row=8, mults_per_row=2, ldsts_per_row=6,
-               immediate_slots=96),
-]
-
-
-@pytest.fixture(scope="module")
-def kernel_traces():
-    result = run_program(compile_to_program(KERNEL), collect_trace=True)
-    return {"kernel": result.trace}
-
-
-def test_search_ranks_by_speedup(kernel_traces):
-    ranked = search_shapes(kernel_traces, shapes=GRID)
-    assert len(ranked) == 3
-    speeds = [c.geomean_speedup for c in ranked]
-    assert speeds == sorted(speeds, reverse=True)
-    assert all(c.geomean_speedup >= 1.0 for c in ranked)
-    assert all(c.gates > 0 for c in ranked)
-
-
-def test_search_efficiency_ranking_differs(kernel_traces):
-    by_eff = search_shapes(kernel_traces, shapes=GRID,
-                           rank_by="efficiency")
-    eff = [c.efficiency for c in by_eff]
-    assert eff == sorted(eff, reverse=True)
-
-
-def test_search_budget_prunes(kernel_traces):
-    all_candidates = search_shapes(kernel_traces, shapes=GRID)
-    cheapest = min(c.gates for c in all_candidates)
-    limited = search_shapes(kernel_traces, shapes=GRID,
-                            area_budget_gates=cheapest)
-    assert len(limited) == 1
-    assert limited[0].gates == cheapest
-
-
-def test_search_rejects_bad_ranking(kernel_traces):
-    with pytest.raises(ValueError):
-        search_shapes(kernel_traces, shapes=GRID, rank_by="vibes")
 
 
 def test_default_grid_is_varied():
@@ -79,30 +14,6 @@ def test_default_grid_is_varied():
     assert len(grid) > 10
     assert len({(s.rows, s.alus_per_row, s.ldsts_per_row)
                 for s in grid}) == len(grid)
-
-
-def test_pareto_front_properties(kernel_traces):
-    ranked = search_shapes(kernel_traces, shapes=GRID)
-    front = pareto_front(ranked)
-    assert front
-    gates = [c.gates for c in front]
-    speeds = [c.geomean_speedup for c in front]
-    assert gates == sorted(gates)
-    assert speeds == sorted(speeds)
-    # dominated points are excluded
-    for candidate in ranked:
-        if candidate not in front:
-            assert any(o.gates <= candidate.gates
-                       and o.geomean_speedup >= candidate.geomean_speedup
-                       for o in front)
-
-
-def test_candidate_describe():
-    shape = GRID[0]
-    candidate = ShapeCandidate(shape, 12345, 2.5, 2.5 / 0.012345)
-    text = candidate.describe()
-    assert "8x(4a+1m+2ls)" in text
-    assert "2.50x" in text
 
 
 # --- rendering ---------------------------------------------------------------

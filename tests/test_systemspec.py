@@ -1,22 +1,19 @@
 """The canonical :class:`repro.system.config.SystemSpec`.
 
 The API-unification contract: one frozen, JSON-round-trippable value
-describes any system, builds exactly the configuration the two
-historical paths (``repro.api.build_config`` and the serve protocol's
-``config_from_spec``) produced — same canonical name, same bits — and
-every entry point routes through it.
+describes any system — a Table 1 array or an arbitrary geometry — and
+every entry point, the serve protocol included, builds its
+configuration through it.
 """
 
 import json
 
 import pytest
 
-from repro.api import build_config
 from repro.cgra.shape import ArrayShape, default_immediate_slots
 from repro.dim.params import DimParams
 from repro.serve.protocol import (
     _validate_config,
-    config_from_spec,
     config_spec_dict,
     system_spec,
 )
@@ -90,12 +87,6 @@ def test_shape_form_matches_custom_system():
     assert spec.name == custom_system(SHAPE, dim).name
 
 
-def test_build_config_shim_routes_through_systemspec():
-    assert build_config("C2", 64, True) == \
-        SystemSpec(array="C2", slots=64, speculation=True).build()
-    assert build_config("ideal") == SystemSpec(array="ideal").build()
-
-
 # ----------------------------------------------------------------------
 # JSON round-trips.
 # ----------------------------------------------------------------------
@@ -147,7 +138,6 @@ def test_from_dict_defaults_immediate_slots():
 ])
 def test_protocol_spec_round_trip_array_and_shape_forms(spec):
     cs = _validate_config(spec.to_dict(), 0)
-    assert config_from_spec(cs) == system_spec(cs).build()
     assert system_spec(cs) == spec
     assert SystemSpec.from_dict(config_spec_dict(cs)) == spec
-    assert config_from_spec(cs) == spec.build()
+    assert system_spec(cs).build() == spec.build()
