@@ -23,6 +23,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.obs import Telemetry
 from repro.system import paper_system
 from repro.system.artifacts import ArtifactCache
 from repro.system.sweep import evaluate_matrix
@@ -59,18 +60,17 @@ def warm_runs():
 def test_matrix_vs_looped_suite(warm_runs, capsys):
     """Acceptance bar #1: the matrix is >=3x the per-config loop.
 
-    Both replay engines are timed: the memoized event path and (when
-    numpy is present) the default columnar path; every path's JSON is
-    byte-identical.
+    Both replay engines are timed: the memoized event path (taken by a
+    telemetry-observed sweep) and the default columnar path; every
+    path's JSON is byte-identical.
     """
-    from repro.system.colreplay import columnar_available
-
     start = time.perf_counter()
     looped = [evaluate_suite(config, fast=True) for config in CONFIGS]
     looped_seconds = time.perf_counter() - start
 
     start = time.perf_counter()
-    event_matrix = evaluate_matrix(CONFIGS, fast=True, engine="event")
+    event_matrix = evaluate_matrix(CONFIGS, fast=True,
+                                   telemetry=Telemetry(max_events=0))
     event_seconds = time.perf_counter() - start
 
     start = time.perf_counter()
@@ -82,12 +82,13 @@ def test_matrix_vs_looped_suite(warm_runs, capsys):
     assert event_matrix.results_json() == matrix.results_json()
 
     inst = matrix.instrumentation
-    engine = "columnar" if columnar_available() else "event"
+    assert event_matrix.instrumentation.cells_columnar == 0
+    assert inst.cells_columnar == inst.cells_replayed
     speedup = looped_seconds / matrix_seconds
     RESULTS["matrix_workloads"] = inst.workloads
     RESULTS["matrix_systems"] = inst.systems
     RESULTS["matrix_cells"] = inst.cells
-    RESULTS["matrix_engine"] = engine
+    RESULTS["matrix_engine"] = "columnar"
     RESULTS["looped_suite_seconds"] = looped_seconds
     RESULTS["matrix_event_seconds"] = event_seconds
     RESULTS["matrix_seconds"] = matrix_seconds
@@ -98,7 +99,7 @@ def test_matrix_vs_looped_suite(warm_runs, capsys):
     with capsys.disabled():
         print(f"\nlooped evaluate_suite: {looped_seconds:.2f}s, "
               f"evaluate_matrix[event]: {event_seconds:.2f}s, "
-              f"evaluate_matrix[{engine}]: {matrix_seconds:.2f}s -> "
+              f"evaluate_matrix[columnar]: {matrix_seconds:.2f}s -> "
               f"{speedup:.2f}x (alloc memo {inst.alloc_hit_rate:.1%})")
     assert inst.workloads == 18 and inst.systems >= 12
     assert speedup >= 3.0

@@ -152,20 +152,18 @@ def sweep(configs: Optional[Sequence[SystemConfig]] = None,
           cache: Optional[ArtifactCache] = None,
           cache_dir: Optional[Path] = None,
           telemetry: Optional[Telemetry] = None,
-          energy_params: EnergyParams = EnergyParams(),
-          engine: str = "auto") -> MatrixResult:
+          energy_params: EnergyParams = EnergyParams()
+          ) -> MatrixResult:
     """Evaluate a workloads x configurations matrix.
 
     Defaults to the paper's full Table 2 matrix
-    (:func:`repro.system.sweep.paper_matrix`).  ``engine`` picks the
-    replay implementation (``auto``/``event``/``columnar``); results
-    are identical whichever one runs.
+    (:func:`repro.system.sweep.paper_matrix`).
     """
     configs = list(configs) if configs is not None else paper_matrix()
     return evaluate_matrix(configs, names=names, jobs=jobs, fast=fast,
                            cache=cache, cache_dir=cache_dir,
                            telemetry=telemetry,
-                           energy_params=energy_params, engine=engine)
+                           energy_params=energy_params)
 
 
 def connect(url: str = "http://127.0.0.1:8350", timeout: float = 60.0):

@@ -447,7 +447,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     telemetry = Telemetry() if args.telemetry else None
     matrix = evaluate_matrix(configs, names=names, jobs=args.jobs,
                              fast=args.fast, cache=cache,
-                             telemetry=telemetry, engine=args.engine)
+                             telemetry=telemetry)
 
     print(f"{'system':16s} {'geomean speedup':>16s} "
           f"{'geomean energy':>15s}")
@@ -465,10 +465,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     print(f"cells      : {inst.cells_replayed} replayed "
           f"({inst.cells_columnar} columnar), "
           f"{inst.cells_from_disk} from disk artifacts")
-    if inst.columnar_fallback:
-        print(f"engine     : columnar unavailable (numpy missing); "
-              f"{inst.columnar_fallback} workload rows fell back to "
-              f"the event engine")
     print(f"alloc memo : {inst.alloc_hit_rate:.1%} hit rate "
           f"({inst.alloc_hits:,} hits)")
     if cache is not None:
@@ -1062,12 +1058,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "$REPRO_CACHE_DIR or ~/.cache/repro)")
     sweep_p.add_argument("--no-cache", action="store_true",
                          help="disable the persistent artifact cache")
-    sweep_p.add_argument("--engine", default="auto",
-                         choices=("auto", "event", "columnar"),
-                         help="replay engine: the vectorised columnar "
-                              "evaluator or the event-driven loop "
-                              "(auto picks columnar when numpy is "
-                              "available; results are identical)")
     sweep_p.set_defaults(func=_cmd_sweep)
 
     explore_p = sub.add_parser(

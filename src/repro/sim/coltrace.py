@@ -30,14 +30,12 @@ start PCs discovered by event boundary ``t`` is exactly the blocks of
 ``events[0..t)`` for every configuration.  ``repro.system.colreplay``
 builds on both invariants.
 
-numpy is optional (``pip install repro[fast]``): :func:`numpy_or_none`
-gates every entry point, honouring ``REPRO_NO_NUMPY=1`` for forcing the
-pure-Python event engine in tests and CI.
+numpy is a required dependency but is imported lazily, inside the
+functions that use it, so ``import repro`` stays numpy-free.
 """
 
 from __future__ import annotations
 
-import os
 from array import array
 from bisect import bisect_right
 from typing import Dict, List, Optional, Tuple
@@ -55,35 +53,6 @@ CLASS_TAKEN = 1
 
 #: an "end of trace" sentinel larger than any event boundary.
 NO_BOUND = 1 << 62
-
-_NUMPY = None
-_NUMPY_CHECKED = False
-
-
-def numpy_or_none():
-    """The numpy module, or None when unavailable (or disabled).
-
-    The import is attempted once per process; the ``REPRO_NO_NUMPY``
-    environment switch is honoured on every call so tests can toggle
-    the fallback path without reloading modules.
-    """
-    if os.environ.get("REPRO_NO_NUMPY"):
-        return None
-    global _NUMPY, _NUMPY_CHECKED
-    if not _NUMPY_CHECKED:
-        _NUMPY_CHECKED = True
-        try:
-            import numpy
-        except ImportError:  # pragma: no cover - depends on environment
-            numpy = None
-        _NUMPY = numpy
-    return _NUMPY
-
-
-def numpy_available() -> bool:
-    """True when the columnar engine can run in this process."""
-    return numpy_or_none() is not None
-
 
 def _class_of(counter: int) -> int:
     if counter == 3:
@@ -136,8 +105,9 @@ class PredictorTimeline:
         """
         if entries & (entries - 1):
             raise ValueError("predictor entries must be a power of two")
-        np = numpy_or_none()
-        if np is not None and len(positions) >= 4096:
+        if len(positions) >= 4096:
+            import numpy as np
+
             return cls._build_grouped(np, positions, pcs, takens,
                                       entries, initial)
         mask = entries - 1
@@ -251,7 +221,8 @@ class PredictorTimeline:
 
     def class_for_many(self, pc: int, ts):
         """Vectorized :meth:`class_at` over a numpy array of boundaries."""
-        np = numpy_or_none()
+        import numpy as np
+
         index_key = (pc >> 2) & self._mask
         cached = self._np_cache.get(index_key)
         if cached is None:
@@ -287,7 +258,7 @@ class PredictorTimeline:
 
 
 class ColumnarTrace:
-    """One trace lowered to flat arrays (requires numpy).
+    """One trace lowered to flat numpy arrays.
 
     Array fields (``n`` events, ``nblocks`` table entries):
 
@@ -306,10 +277,8 @@ class ColumnarTrace:
     """
 
     def __init__(self, trace: Trace):
-        np = numpy_or_none()
-        if np is None:
-            raise RuntimeError("columnar lowering requires numpy "
-                               "(pip install repro[fast])")
+        import numpy as np
+
         self.trace = trace
         self.table = trace.table
         ids, taken = trace.event_arrays()
@@ -383,7 +352,8 @@ class ColumnarTrace:
         — the config-independent predictor update sequence."""
         cached = self._branch_events
         if cached is None:
-            np = numpy_or_none()
+            import numpy as np
+
             positions = np.flatnonzero(self.blk_is_cond[self.ev])
             cached = (positions.tolist(),
                       self.blk_branch_pc[self.ev[positions]].tolist(),
@@ -408,8 +378,8 @@ class ColumnarTrace:
         return len(self._timelines)
 
     # ------------------------------------------------------------------
-    # Artifact persistence.  The payload is numpy-free so it can be
-    # loaded (and judged stale) in processes without numpy installed.
+    # Artifact persistence.  The payload stores the raw event columns;
+    # the numpy arrays are rebuilt from them on load.
     # ------------------------------------------------------------------
     def to_payload(self) -> dict:
         ids, taken = self.trace.event_arrays()

@@ -7,8 +7,9 @@ Two execution paths produce identical cycle counts:
   state, used to *validate* the mechanism.
 - :func:`repro.system.traceeval.evaluate_trace` replays a basic-block
   trace through the same :class:`repro.dim.engine.DimEngine`, without
-  re-executing instructions — used by the benchmark harnesses to sweep
-  the paper's 18 workloads x 18+2 system configurations quickly.
+  re-executing instructions.  Its vectorised twin
+  :func:`repro.system.colreplay.replay_trace_columnar` is what sweeps
+  of the paper's 18 workloads x 18+2 system configurations run on.
 
 :mod:`repro.system.config` holds Table 1's array shapes,
 :mod:`repro.system.energy` the event-based power/energy model
@@ -47,13 +48,13 @@ from repro.system.area import (
     config_bits_report,
 )
 from repro.system.artifacts import ArtifactCache
+from repro.system.colreplay import replay_trace_columnar
 from repro.system.sweep import (
     MatrixResult,
     SweepInstrumentation,
     evaluate_matrix,
     paper_matrix,
     replay_matrix,
-    replay_workload,
 )
 
 __all__ = [
@@ -84,5 +85,5 @@ __all__ = [
     "evaluate_matrix",
     "paper_matrix",
     "replay_matrix",
-    "replay_workload",
+    "replay_trace_columnar",
 ]

@@ -13,10 +13,15 @@ layers:
 1. **Trace once per run** — each workload is simulated at most once per
    sweep no matter how many configurations replay it; cells fan out over
    a per-workload work unit (serial or across a process pool).
-2. **Translation memo** — all configurations of one workload share a
-   probe-validated :class:`~repro.dim.memo.TranslationMemo`, so
-   configurations differing only in cache slots (or timing) reuse
-   DIM translation + CGRA line allocation instead of recomputing it.
+2. **Shared columnar context** — all configurations of one workload
+   replay on one :class:`~repro.system.colreplay.ColumnarContext` (the
+   lowered trace plus its translation caches), so configurations
+   differing only in cache slots (or timing) reuse DIM translation +
+   CGRA line allocation instead of recomputing it.  A sweep observed
+   by a :class:`~repro.obs.Telemetry` sink replays on the event engine
+   instead, sharing one probe-validated
+   :class:`~repro.dim.memo.TranslationMemo` per workload, because only
+   the event engine emits the per-event telemetry stream.
 3. **Persistent artifacts** — traces, baselines and per-cell metrics are
    stored in a content-addressed on-disk cache
    (:mod:`repro.system.artifacts`) keyed by workload source, timing
@@ -56,9 +61,7 @@ from repro.system.artifacts import ArtifactCache
 from repro.system.colreplay import (
     ColumnarContext,
     baseline_metrics_columnar,
-    columnar_available,
     evaluate_trace_columnar,
-    replay_trace_columnar,
 )
 from repro.system.config import (
     PAPER_CACHE_SLOTS,
@@ -83,35 +86,6 @@ _DISK_TRACES: Dict[str, Trace] = {}
 #: in-process columnar contexts, one per workload; reused across sweeps
 #: (and across service batches) as long as the trace object is the same.
 _COL_CONTEXTS: Dict[str, ColumnarContext] = {}
-
-#: the engine choices accepted by every replay entry point.
-ENGINES = ("auto", "event", "columnar")
-
-
-def _resolve_engine(engine: str, observing: bool = False
-                    ) -> Tuple[str, bool]:
-    """(resolved engine, fell_back): which replay engine to run.
-
-    ``auto`` selects the columnar engine whenever numpy is importable
-    and no event-level telemetry sink is attached — the columnar engine
-    computes bit-identical metrics but does not emit the per-event
-    engine telemetry stream, so an observing sweep keeps the event
-    engine.  ``fell_back`` is True when the columnar engine was wanted
-    (explicitly or by default) but numpy is unavailable; callers count
-    it under ``sweep.columnar_fallback``.
-    """
-    if engine not in ENGINES:
-        raise ValueError(f"unknown replay engine {engine!r}; "
-                         f"expected one of {ENGINES}")
-    if engine == "event":
-        return "event", False
-    available = columnar_available()
-    if engine == "columnar":
-        return ("columnar", False) if available else ("event", True)
-    if observing:
-        return "event", False
-    return ("columnar", False) if available else ("event", True)
-
 
 def paper_matrix() -> List[SystemConfig]:
     """Table 2's system list: C1-C3 x {no-spec, spec} x {16, 64, 256}
@@ -151,11 +125,9 @@ class SweepInstrumentation:
     #: per-cell outcome: replayed live vs served from disk artifacts.
     cells_replayed: int = 0
     cells_from_disk: int = 0
-    #: of the replayed cells, how many ran on the columnar engine.
+    #: of the replayed cells, how many ran on the columnar engine
+    #: (all of them unless a telemetry sink observed the sweep).
     cells_columnar: int = 0
-    #: workload rows that wanted the columnar engine but fell back to
-    #: the event engine because numpy is unavailable.
-    columnar_fallback: int = 0
     baselines_computed: int = 0
     baselines_from_disk: int = 0
     #: translation-memo totals across all workloads.
@@ -198,7 +170,7 @@ class SweepInstrumentation:
                      "traces_simulated", "traces_from_disk",
                      "traces_in_memory", "cells_replayed",
                      "cells_from_disk", "cells_columnar",
-                     "columnar_fallback", "baselines_computed",
+                     "baselines_computed",
                      "baselines_from_disk", "alloc_hits", "alloc_misses",
                      "artifact_hits", "artifact_misses",
                      "artifact_stores"):
@@ -275,25 +247,9 @@ def _obtain_trace(name: str, fast: bool, cache: Optional[ArtifactCache],
 # ----------------------------------------------------------------------
 # Replay (layer 2 + layer 3).
 # ----------------------------------------------------------------------
-def replay_workload(trace: Trace, configs: Sequence[SystemConfig],
-                    memo: Optional[TranslationMemo] = None,
-                    name: str = "",
-                    engine: str = "auto") -> List[SystemMetrics]:
-    """Replay one trace under many configurations with shared
-    translations.  Results are identical to independent
-    :func:`evaluate_trace` calls, whichever engine runs."""
-    resolved, _ = _resolve_engine(engine)
-    if resolved == "columnar":
-        return replay_trace_columnar(trace, configs, name=name)
-    memo = memo if memo is not None else TranslationMemo()
-    return [evaluate_trace(trace, config, name=name, memo=memo)
-            for config in configs]
-
-
 def replay_matrix(traces: Mapping[str, Trace],
                   configs: Sequence[SystemConfig],
-                  cache: Optional[ArtifactCache] = None,
-                  engine: str = "auto"
+                  cache: Optional[ArtifactCache] = None
                   ) -> Dict[Tuple[str, int], SystemMetrics]:
     """Metrics for every (workload, configuration index) cell.
 
@@ -303,28 +259,19 @@ def replay_matrix(traces: Mapping[str, Trace],
     disk cache when the trace belongs to a named workload.
     """
     known = set(workload_names())
-    resolved, _ = _resolve_engine(engine)
     results: Dict[Tuple[str, int], SystemMetrics] = {}
     for name, trace in traces.items():
         cacheable = cache is not None and name in known
         keys = [metrics_artifact_key(cache, name, config)
                 if cacheable else None for config in configs]
-        memo: Optional[TranslationMemo] = None
         context: Optional[ColumnarContext] = None
         for index, config in enumerate(configs):
             metrics = cache.load(keys[index]) if cacheable else None
             if metrics is None:
-                if resolved == "columnar":
-                    if context is None:
-                        context = ColumnarContext(trace, name=name)
-                    metrics = evaluate_trace_columnar(trace, config,
-                                                      name=name,
-                                                      context=context)
-                else:
-                    if memo is None:
-                        memo = TranslationMemo()
-                    metrics = evaluate_trace(trace, config, name=name,
-                                             memo=memo)
+                if context is None:
+                    context = ColumnarContext(trace, name=name)
+                metrics = evaluate_trace_columnar(trace, config, name=name,
+                                                  context=context)
                 if cacheable:
                     cache.store(keys[index], metrics)
             results[(name, index)] = metrics
@@ -333,23 +280,25 @@ def replay_matrix(traces: Mapping[str, Trace],
 
 def _sweep_workload(name: str, configs: Sequence[SystemConfig],
                     fast: bool, cache: Optional[ArtifactCache],
-                    telemetry=None, engine: str = "auto"
+                    telemetry=None
                     ) -> Tuple[Dict[TimingModel, SystemMetrics],
                                List[SystemMetrics], SweepInstrumentation]:
     """All cells of one workload row, with maximal sharing.
 
     Returns the per-timing baselines, one accelerated metrics per
-    configuration, and the row's instrumentation counters.  An injected
-    ``telemetry`` sink receives one ``sweep.cell_replayed`` event per
-    live cell plus (on the event engine) the engine-level event stream
-    of each replay; it never changes the metrics.
+    configuration, and the row's instrumentation counters.  Cells
+    replay on the columnar engine, unless an injected ``telemetry``
+    sink observes the sweep: it then receives one
+    ``sweep.cell_replayed`` event per live cell plus the event engine's
+    per-event stream of each replay.  Either way the metrics are
+    identical.
+
+    The trace is obtained before each replay timer starts, so a trace
+    simulated lazily is charged to ``trace_seconds`` only.
     """
     inst = SweepInstrumentation()
     trace: Optional[Trace] = None
     observing = telemetry is not None and telemetry.enabled
-    resolved, fell_back = _resolve_engine(engine, observing)
-    if fell_back:
-        inst.columnar_fallback += 1
 
     def ensure_trace() -> Trace:
         nonlocal trace
@@ -398,18 +347,17 @@ def _sweep_workload(name: str, configs: Sequence[SystemConfig],
     for index, config in enumerate(configs):
         if cell_metrics[index] is not None:
             continue
+        body = ensure_trace()
         replay_start = time.perf_counter()
-        if resolved == "columnar":
-            ctx = ensure_context()
-            metrics = evaluate_trace_columnar(ctx.trace, config,
-                                              name=name, context=ctx)
-            inst.cells_columnar += 1
-        else:
-            body = ensure_trace()
+        if observing:
             if memo is None:
                 memo = TranslationMemo()
             metrics = evaluate_trace(body, config, name=name, memo=memo,
                                      telemetry=telemetry)
+        else:
+            metrics = evaluate_trace_columnar(body, config, name=name,
+                                              context=ensure_context())
+            inst.cells_columnar += 1
         inst.replay_seconds += time.perf_counter() - replay_start
         inst.cells_replayed += 1
         if observing:
@@ -430,12 +378,13 @@ def _sweep_workload(name: str, configs: Sequence[SystemConfig],
             base = cache.load(
                 baseline_artifact_key(cache, name, config.timing))
         if base is None:
+            body = ensure_trace()
             replay_start = time.perf_counter()
-            if resolved == "columnar":
+            if observing:
+                base = baseline_metrics(body, config.timing)
+            else:
                 base = baseline_metrics_columnar(ensure_context(),
                                                  config.timing)
-            else:
-                base = baseline_metrics(ensure_trace(), config.timing)
             inst.replay_seconds += time.perf_counter() - replay_start
             inst.baselines_computed += 1
             if cache is not None:
@@ -474,12 +423,11 @@ def _matrix_worker(args):
     the parent re-emits in task order, so the merged stream is
     deterministic regardless of worker scheduling.
     """
-    name, configs, fast, cache_root, events_max, engine = args
+    name, configs, fast, cache_root, events_max = args
     cache = ArtifactCache(cache_root) if cache_root is not None else None
     telemetry = Telemetry(events_max) if events_max is not None else None
     baselines, cell_metrics, inst = _sweep_workload(name, configs, fast,
-                                                    cache, telemetry,
-                                                    engine=engine)
+                                                    cache, telemetry)
     payload = telemetry.export_payload() if telemetry is not None else None
     return name, baselines, cell_metrics, inst, payload
 
@@ -570,8 +518,8 @@ def evaluate_matrix(configs: Sequence[SystemConfig],
                     fast: bool = False,
                     cache: Optional[ArtifactCache] = None,
                     cache_dir: Optional[Path] = None,
-                    telemetry: Optional[Telemetry] = None,
-                    engine: str = "auto") -> MatrixResult:
+                    telemetry: Optional[Telemetry] = None
+                    ) -> MatrixResult:
     """Evaluate the full workloads x configurations matrix.
 
     Per-configuration rows of the result are byte-identical (as JSON) to
@@ -581,16 +529,14 @@ def evaluate_matrix(configs: Sequence[SystemConfig],
     reuse trace/baseline/metrics artifacts across processes.  Pass
     ``telemetry`` to collect the unified event stream and counters
     (:mod:`repro.obs`); results are identical with or without it, for
-    any ``jobs``.  ``engine`` selects the replay implementation (see
-    :func:`_resolve_engine`); every engine produces identical results.
+    any ``jobs``.  Cells replay on the columnar engine; an observed
+    sweep replays on the event engine, whose per-event stream the sink
+    records.
     """
     # deferred to dodge the repro.workloads.suite <-> repro.system cycle
     from repro.workloads.suite import SuiteResult, result_from_metrics
 
     start = time.perf_counter()
-    if engine not in ENGINES:
-        raise ValueError(f"unknown replay engine {engine!r}; "
-                         f"expected one of {ENGINES}")
     if cache is None and cache_dir is not None:
         cache = ArtifactCache(cache_dir)
     configs = list(configs)
@@ -610,8 +556,7 @@ def evaluate_matrix(configs: Sequence[SystemConfig],
             events_max = (telemetry.events.max_events
                           if telemetry.events is not None else 0)
         tasks = [(name, configs, fast,
-                  cache.root if cache is not None else None, events_max,
-                  engine)
+                  cache.root if cache is not None else None, events_max)
                  for name in names]
         with ProcessPoolExecutor(max_workers=min(jobs, len(names))) as pool:
             for name, baselines, cells, row_inst, payload in pool.map(
@@ -623,7 +568,7 @@ def evaluate_matrix(configs: Sequence[SystemConfig],
     else:
         for name in names:
             baselines, cells, row_inst = _sweep_workload(
-                name, configs, fast, cache, telemetry, engine=engine)
+                name, configs, fast, cache, telemetry)
             rows[name] = (baselines, cells)
             inst.merge_counters(row_inst)
 

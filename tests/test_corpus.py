@@ -319,10 +319,13 @@ def test_corpus_byte_identical_across_engines_serve_and_fleet(corpus24):
     config = api.SystemSpec(array="C2", slots=64,
                             speculation=True).build()
 
-    event = api.sweep([config], names=names, fast=True, engine="event")
-    columnar = api.sweep([config], names=names, fast=True,
-                         engine="columnar")
+    event = api.sweep([config], names=names, fast=True,
+                      telemetry=Telemetry())
+    columnar = api.sweep([config], names=names, fast=True)
     assert event.results_json() == columnar.results_json()
+    assert event.instrumentation.cells_columnar == 0
+    assert columnar.instrumentation.cells_columnar \
+        == columnar.instrumentation.cells_replayed > 0
 
     # Inline serve: one sweep job over the whole corpus.
     svc = EvalService(workers=0, cache_root=None, batch_window=0.0)

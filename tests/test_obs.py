@@ -254,6 +254,12 @@ def test_sweep_json_identical_with_and_without_telemetry():
     observed = evaluate_matrix(configs, names=names, fast=True,
                                telemetry=Telemetry())
     assert bare.results_json() == observed.results_json()
+    # an observing sweep replays on the event engine, whose per-event
+    # stream the sink records; a bare sweep replays every cell columnar
+    assert observed.instrumentation.cells_columnar == 0
+    assert observed.instrumentation.cells_replayed == 4
+    assert bare.instrumentation.cells_columnar \
+        == bare.instrumentation.cells_replayed == 4
 
 
 def test_parallel_telemetry_matches_serial():

@@ -82,6 +82,22 @@ def test_warm_cache_parallel_identical(tmp_path):
     assert warm.results_json() == cold.results_json()
 
 
+def test_cold_serial_phase_timers_do_not_overlap(monkeypatch):
+    """A trace simulated lazily is charged to ``trace_seconds`` only,
+    so the two phase timers of a serial sweep fit inside its wall."""
+    import repro.system.sweep as sweep
+    import repro.workloads as workloads
+
+    for module, cache in ((workloads, "_PROGRAMS"), (workloads, "_RUNS"),
+                          (sweep, "_DISK_TRACES"), (sweep, "_COL_CONTEXTS")):
+        monkeypatch.setattr(module, cache, {})
+    configs = [paper_system("C1", 16, False), paper_system("C3", 64, True)]
+    inst = evaluate_matrix(configs, names=("crc", "sha"), fast=True,
+                           jobs=1).instrumentation
+    assert inst.traces_simulated == 2
+    assert inst.trace_seconds + inst.replay_seconds <= inst.total_seconds
+
+
 # ----------------------------------------------------------------------
 # The metrics-level API and the translation memo.
 # ----------------------------------------------------------------------
